@@ -14,7 +14,7 @@ help:
 	@echo "make bench        - paper benchmark reproductions (benchmarks/, slow)"
 	@echo "make bench-table1 - condensed vs full extraction + python vs pushdown engine race"
 	@echo "make bench-fig16  - plan-level scheduling vs per-request parallel path"
-	@echo "make bench-fig17  - optimizing plan compiler (shared-sweep DAG) vs per-request"
+	@echo "make bench-fig17  - optimizing plan compiler (shared-sweep DAG) vs per-request serial kernels"
 	@echo "make bench-fig18  - service result cache: cached vs uncached req/s"
 	@echo "make bench-fig19  - sharded snapshots: out-of-core memory ceiling + bit-identity"
 	@echo "make bench-fig20  - incremental maintenance: refresh + repair vs rebuild + recompute"

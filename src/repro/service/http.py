@@ -14,13 +14,15 @@ Error contract, mirroring the CLI's: caller mistakes
 (:class:`~repro.exceptions.UsageError` and friends) become a 4xx JSON body
 ``{"error": "<one-line message>"}`` — never a traceback;
 :class:`~repro.exceptions.ServiceOverloadedError` becomes 503 so clients
-know to back off and retry; only a genuine server bug produces a 500.
+know to back off and retry; only a genuine server bug produces a 500, and
+every 500 is logged with its traceback on the ``repro.service`` logger.
 
 No new dependencies: everything here is ``http.server`` + ``json``.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any
@@ -38,6 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: request body size guard (a graph service request is a few hundred bytes;
 #: anything megabyte-sized is a mistake or abuse)
 MAX_BODY_BYTES = 1 << 20
+
+logger = logging.getLogger("repro.service")
 
 
 class GraphServiceServer(ThreadingHTTPServer):
@@ -110,7 +114,10 @@ class GraphServiceHandler(BaseHTTPRequestHandler):
             # one-line caller-mistake message, never a traceback — the same
             # contract the CLI keeps on stderr
             self._reply(400, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - genuine server bug
+        except Exception as exc:
+            # a genuine server bug: the client gets a one-line body, the
+            # operator gets the traceback
+            logger.exception("%s %s failed", self.command, self.path)
             self._reply(500, {"error": f"internal error: {exc}"})
         else:
             self._reply(status, payload)

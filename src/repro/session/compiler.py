@@ -1,13 +1,14 @@
 """Optimizing plan compiler: a DAG of shared primitive nodes per plan.
 
-PR 5's scheduler routed every :class:`~repro.session.AnalysisPlan` request
-independently: a ``closeness + diameter + sampled-betweenness`` batch ran
-three full BFS/SSSP source sweeps over the same snapshot, duplicate requests
-executed twice, and derived views (the symmetrised sorted CSR, degree
-arrays) were materialised by whichever kernel touched them first.  This
-module lowers the request list into a small DAG of **primitive nodes**
-instead and executes the DAG in dependency order through the PR-5 scheduler
-machinery (one pool, one snapshot file per plan):
+This module is the one executor behind
+:meth:`repro.session.AnalysisPlan.run`.  Routed one request at a time, a
+``closeness + diameter + sampled-betweenness`` batch would run three full
+BFS/SSSP source sweeps over the same snapshot, duplicate requests would
+execute twice, and derived views (the symmetrised sorted CSR, degree arrays)
+would be materialised by whichever kernel touched them first.  The compiler
+lowers the request list into a small DAG of **primitive nodes** instead and
+executes the DAG in dependency order over one pool and one snapshot file per
+plan (:mod:`repro.session.scheduler`):
 
 * ``snapshot`` — acquisition of the handle's shared CSR (cache-aware:
   reported ``reused`` when it came off the in-process cache or a store mmap);
@@ -29,15 +30,24 @@ algorithm and identical effective parameters resolve to one node (the
 second result reports ``reused``), and ``closeness + diameter +
 sampled-betweenness`` in one plan perform the BFS/Brandes sweeps once.
 
-**Bit-identity.**  Results equal the uncompiled path exactly, floats
-included, by reusing the PR-5 merge contracts: closeness values are the
-pure-integer-stat expression every backend computes
+**Bit-identity.**  Results equal the serial kernels (and so the
+:mod:`repro.algorithms` free functions) exactly, floats included, except
+superstep pagerank, whose note declares its fixed-iteration approximation:
+closeness values are the pure-integer-stat expression every backend computes
 (:func:`repro.algorithms.centrality.closeness_value`), diameter is a max of
 integer eccentricities, and betweenness re-sums ordered per-source
 contribution lists with one flat left-to-right pass in each request's own
 global source order — exactly the serial kernels' accumulation sequence.
-Uncovered requests run the PR-5 routes (superstep / chunks / task / inline)
-with identical notes and fallbacks.
+
+**Routing.**  Requests no sweep covers take one of four modes:
+``"superstep"`` (a vertex-centric program over the shared pool),
+``"chunks"`` (a chunk-parallel direct kernel over the shared pool),
+``"task"`` (a whole-graph serial kernel dispatched concurrently to one pool
+worker) or ``"inline"`` (the serial kernel on the coordinator — always the
+mode at ``parallelism == 1``).  A request that cannot take the parallel mode
+its registry entry offers (directed snapshot, parameters the superstep
+program cannot honour, an ineligible betweenness sample, out-of-core
+workers) falls back to a serial kernel with a note saying why.
 
 **Cost model.**  Execution choices are fed by the snapshot's ``n`` and ``m``
 plus constants calibrated against the fig13/fig15/fig16 measurements (see
@@ -47,9 +57,9 @@ partition their source list by weighted cost (a Brandes source counts
 :data:`BRANDES_FACTOR` plain-BFS traversals), and an inline sweep with no
 float (Brandes) demand — where every product is integer-exact across
 backends — may run its traversals on the cheaper backend for the snapshot's
-size.  Session ``parallelism`` remains a directive: pool-vs-inline follows
-the PR-5 rules, so scheduling behaviour (pool starts, snapshot writes,
-engines, notes) is unchanged for plans with no shareable work.
+size.  Session ``parallelism`` remains a directive: the pool is forked only
+when some request uses it in parallel (or at least two serial-kernel tasks
+can run concurrently), and a lone serial request runs inline.
 
 Every result gains per-node provenance
 (:class:`~repro.session.NodeProvenance`): the nodes in its dependency
@@ -395,7 +405,7 @@ def compile_plan(
             elif not pool_sweep:
                 # full-source Brandes: stream the running total in the serial
                 # kernel's ascending source order (inline sweeps only — on a
-                # pool this request keeps its PR-5 serial-kernel fallback)
+                # pool this request keeps its serial-kernel fallback)
                 node.demand = {
                     "kind": "betweenness",
                     "sources": sources,
@@ -442,7 +452,7 @@ def compile_plan(
     covered = {id(node) for node in demanding}
 
     # -- routing: sweep-covered nodes bypass their kernels; everything else
-    #    keeps the PR-5 scheduler's routes, fallbacks and notes ----------- #
+    #    takes one of the modes in the module docstring ------------------- #
     symmetric: bool | None = None
     for node in algo_nodes:
         spec, params = node.spec, node.params
@@ -512,8 +522,8 @@ def compile_plan(
         node.mode = mode
         node.notes = tuple(notes)
 
-    # -- pool decision: the PR-5 rule over *unique* nodes (deduplicated
-    #    requests no longer count twice), sweep-on-pool counts as chunks -- #
+    # -- pool decision over *unique* nodes (a deduplicated request does not
+    #    count twice); a sweep on the pool counts as chunks --------------- #
     modes = [node.mode for node in algo_nodes]
     sweep_active = bool(demanding)
     wants_pool = (
@@ -575,7 +585,7 @@ def compile_plan(
 def _accumulate(total: list[float] | None, delta: list[float]) -> list[float]:
     # same per-element left-to-right addition sequence as the serial kernels'
     # accumulation (list or ndarray alike), so the running total stays
-    # bit-identical to the uncompiled path
+    # bit-identical to the serial kernels
     if total is None:
         return [0.0 + value for value in delta]
     return [current + value for current, value in zip(total, delta)]
@@ -611,9 +621,9 @@ def _execute_sweep(
             if source in sweep.dist_sources:
                 sweep.dists[source] = owner.tree_distances(tree)
     else:
-        # pool sweeps never stream (full-source betweenness keeps its PR-5
-        # fallback on pools), so products are independent per source and the
-        # weighted contiguous split below only balances load
+        # pool sweeps never stream (full-source betweenness keeps its
+        # serial-kernel fallback on pools), so products are independent per
+        # source and the weighted contiguous split below only balances load
         slices = cost.partition_sweep_sources(
             sweep.sources, sweep.delta_sources, sweep.stream, len(pool.partitions)
         )
@@ -655,7 +665,7 @@ def _finalise_from_sweep(node: Node, sweep: SweepPlan, csr: "CSRGraph") -> Any:
             totals = [0.0] * n
             for source in demand["sources"]:
                 # flat left-to-right re-sum in this request's own global
-                # source order: the PR-5 chunk-merge contract
+                # source order: the chunk-merge contract
                 totals = _accumulate(totals, sweep.deltas[source])
         return csr.decode(
             apply_betweenness_scale(
@@ -670,7 +680,7 @@ def _finalise_from_sweep(node: Node, sweep: SweepPlan, csr: "CSRGraph") -> Any:
 
 
 # --------------------------------------------------------------------------- #
-# compiled execution (the AnalysisPlan.run() body when compilation is on)
+# compiled execution (the AnalysisPlan.run() body)
 # --------------------------------------------------------------------------- #
 def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
     """Compile and execute ``plan``, returning its report (see module doc)."""

@@ -15,7 +15,10 @@ session's kernel backend **once**, and executes every requested algorithm
 against that shared physical core through the kernel-level entry points of
 :mod:`repro.algorithms` — so a batch of heterogeneous analyses pays for
 extraction, snapshot encoding and backend scratch a single time.  Results
-come back as an :class:`~repro.session.AnalysisReport`.
+come back as an :class:`~repro.session.AnalysisReport`.  Execution is the
+plan compiler's (:mod:`repro.session.compiler`): this module holds the
+builder, the algorithm registry and the per-algorithm runners (kernel,
+superstep, chunk) that the compiled DAG's nodes call.
 
 With session ``parallelism > 1``, ``run()`` is a **plan-level scheduler**:
 the whole batch executes over (at most) one worker pool and one persisted
@@ -49,9 +52,6 @@ a plan (and the CLI's repeatable ``--algo`` flag) can request.
 
 from __future__ import annotations
 
-import os
-import tempfile
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -71,9 +71,9 @@ from repro.algorithms.shortest_paths import diameter_kernel, diameter_sample_ind
 from repro.algorithms.similarity import SCORE_NAMES, link_predictions_kernel
 from repro.algorithms.triangles import average_clustering_kernel, count_triangles_kernel
 from repro.exceptions import RepresentationError, UsageError
-from repro.graph import snapshot_store
-from repro.session.report import AnalysisReport, AnalysisResult, Provenance
-from repro.vertexcentric.parallel import partition_range, pool_starts_in_thread
+from repro.session.compiler import run_compiled
+from repro.session.report import AnalysisReport
+from repro.vertexcentric.parallel import partition_range
 from repro.vertexcentric.programs import (
     run_connected_components,
     run_degree,
@@ -565,106 +565,14 @@ class AnalysisPlan:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _route(
-        self, csr, parallelism: int, *, oc: bool = False
-    ) -> list[tuple[str, list[str]]]:
-        """Decide each request's execution mode once for the whole batch.
-
-        Modes: ``"superstep"`` (process-parallel vertex-centric program over
-        the shared pool), ``"chunks"`` (chunk-parallel direct kernel over the
-        shared pool), ``"task"`` (whole-graph serial kernel, dispatched
-        concurrently to a single pool worker), ``"inline"`` (serial kernel on
-        the master — always the mode at ``parallelism == 1``).  Symmetry is a
-        property of the shared snapshot, checked lazily only when a
-        symmetric-requiring program survives the parameter check.
-
-        ``oc`` (out-of-core: the session's store sharded this snapshot)
-        changes the worker contract — each worker maps only its own shard, so
-        only shard-local work may go to the pool.  Superstep programs qualify
-        (their gathers and neighbor walks stay inside the worker's own vertex
-        range; frontier deltas stream through the executor's message pipes).
-        Chunk kernels and whole-graph task kernels need adjacency outside the
-        worker's shard, so they run inline on the coordinator (which already
-        holds the heap snapshot it built), with a note saying why.  ``oc``
-        also routes superstep work to the pool at ``parallelism == 1`` — the
-        pool's geometry is the shard table, not the session's worker budget.
-        """
-        symmetric: bool | None = None
-        routed: list[tuple[str, list[str]]] = []
-        for spec, params in self._requests:
-            notes: list[str] = []
-            mode = "inline"
-            if (parallelism > 1 or oc) and csr.n > 0:
-                if oc and spec.superstep is None:
-                    notes.append(
-                        f"note: {spec.name} needs whole-graph adjacency, which "
-                        "out-of-core workers do not map; running inline on the "
-                        "coordinator"
-                    )
-                    routed.append((mode, notes))
-                    continue
-                if spec.superstep is not None:
-                    param_note = (
-                        spec.superstep_params_ok(params)
-                        if spec.superstep_params_ok is not None
-                        else None
-                    )
-                    if param_note is not None:
-                        notes.append(param_note)
-                        mode = "task"
-                    else:
-                        if spec.requires_symmetric and symmetric is None:
-                            symmetric = csr.is_symmetric()
-                        if spec.requires_symmetric and not symmetric:
-                            notes.append(
-                                f"note: the {spec.name} superstep program requires a "
-                                "symmetric graph; running serial kernel"
-                            )
-                            mode = "task"
-                        else:
-                            mode = "superstep"
-                            if spec.superstep_note:
-                                notes.append(spec.superstep_note)
-                elif spec.chunk is not None and (
-                    spec.chunk_ok is None or spec.chunk_ok(params, csr)
-                ):
-                    mode = "chunks"
-                elif spec.chunk is not None:
-                    notes.append(
-                        f"note: {spec.name} with these parameters is not "
-                        "chunk-parallel eligible (requires sampling a strict "
-                        "subset of sources); running serial kernel"
-                    )
-                    mode = "task"
-                else:
-                    notes.append(
-                        f"note: {spec.name} has no superstep program; running serial kernel"
-                    )
-                    mode = "task"
-                if oc and mode == "task":
-                    # the serial fallback needs the whole graph, which
-                    # out-of-core workers do not map — run it on the
-                    # coordinator instead of a pool worker
-                    notes.append(
-                        "note: out-of-core workers map only their own shard; "
-                        "running inline on the coordinator"
-                    )
-                    mode = "inline"
-            routed.append((mode, notes))
-        return routed
-
-    def run(self, compiled: bool | None = None) -> AnalysisReport:
+    def run(self) -> AnalysisReport:
         """Execute every request over one shared snapshot and backend.
 
-        By default (session ``compile_plans=True``) the request list is
-        lowered through the optimizing plan compiler
+        The request list is lowered through the optimizing plan compiler
         (:mod:`repro.session.compiler`): requests are deduplicated by
         structural key, source sweeps are shared across closeness / diameter
         / sampled-betweenness / bfs, and every result carries per-node
-        provenance.  Results are bit-identical to the uncompiled path.
-        ``compiled=False`` forces the PR-5 per-request path below (the
-        reference the compiler is tested against); ``compiled=True`` forces
-        compilation regardless of the session default.
+        provenance.
 
         With session ``parallelism > 1`` the whole batch is scheduled over
         (at most) **one** worker pool and **one** persisted snapshot file:
@@ -681,215 +589,4 @@ class AnalysisPlan:
                 "analysis plan is empty: chain at least one algorithm "
                 "request (e.g. .pagerank()) before run()"
             )
-        if compiled is None:
-            compiled = getattr(self._handle.session, "compile_plans", True)
-        if compiled:
-            from repro.session.compiler import run_compiled
-
-            return run_compiled(self)
-        handle = self._handle
-        session = handle.session
-        backend = session.backend
-        parallelism = session.parallelism
-
-        started = time.perf_counter()
-        builds_before = handle.builds
-        # thread-local deltas: concurrent plans in one process (the graph
-        # service) must each report only their own forks and writes
-        pool_starts_before = pool_starts_in_thread()
-        writes_before = snapshot_store.saves_in_thread()
-        csr = handle.snapshot()
-        snapshot_source = handle.snapshot_source
-        delta_edges = handle._delta_edges
-        snapshot_notes = handle.consume_snapshot_notes()
-
-        # out-of-core: the session store's sharding policy decides once per
-        # plan; a non-None plan is the exact shard geometry — reused as the
-        # worker partitions, so shard files and partitions align one-to-one
-        oc_ranges = None
-        if session.store is not None and session.store.sharded:
-            oc_ranges = session.store.shard_plan(csr)
-        oc = oc_ranges is not None
-
-        routed = self._route(csr, parallelism, oc=oc)
-        # incremental serving: a maintainable request with a remembered
-        # previous result and a replayable journal window never touches a
-        # kernel — the dynamic maintainer repairs the old values instead
-        incremental: dict[int, tuple[Any, float]] = {}
-        for index, (spec, params) in enumerate(self._requests):
-            if spec.maintainer is None:
-                continue
-            served = handle._incremental_serve(
-                spec.name, spec.maintainer, params, csr, backend
-            )
-            if served is not None:
-                values, seconds, note = served
-                incremental[index] = (values, seconds)
-                routed[index] = ("incremental", [note])
-        modes = [mode for mode, _ in routed]
-        # one concurrent task cannot beat running it inline; require either a
-        # pool-parallel request or at least two concurrent tasks before
-        # paying for worker processes
-        wants_pool = (
-            "superstep" in modes or "chunks" in modes or modes.count("task") >= 2
-        )
-        if not wants_pool:
-            routed = [
-                ("inline" if mode == "task" else mode, notes) for mode, notes in routed
-            ]
-
-        pool = None
-        release_pool = None
-        snapshot_path: str | None = None
-        cleanup_path: str | None = None
-        try:
-            if wants_pool:
-                # one snapshot file per plan: the store's content-checked
-                # file when configured, else a single tempfile for the run.
-                # Out-of-core plans persist the sharded form (one manifest +
-                # segment files) and hand its geometry to the pool as the
-                # explicit worker partitions.
-                if session.store is not None:
-                    snapshot_path = handle.persist()
-                else:
-                    fd, snapshot_path = tempfile.mkstemp(suffix=".csr", prefix="ggplan-")
-                    os.close(fd)
-                    cleanup_path = snapshot_path
-                    csr.save(snapshot_path)
-                pool, release_pool = session.acquire_pool(
-                    csr.n,
-                    snapshot_path,
-                    csr.content_hash,
-                    backend.name,
-                    partitions=oc_ranges,
-                    sharded=oc,
-                )
-
-            # independent serial-kernel requests first, load-balanced across
-            # the whole worker budget; results keep their plan positions
-            task_results: dict[int, tuple[float, Any]] = {}
-            if pool is not None:
-                task_indexes = [
-                    index for index, (mode, _) in enumerate(routed) if mode == "task"
-                ]
-                if task_indexes:
-                    payloads = [
-                        (self._requests[index][0].name, self._requests[index][1])
-                        for index in task_indexes
-                    ]
-                    for index, outcome in zip(
-                        task_indexes, pool.map_tasks("run_task", payloads)
-                    ):
-                        if outcome[0] == "error":
-                            # caller mistakes keep their original type and
-                            # one-line message, exactly as if run inline
-                            raise outcome[1]
-                        task_results[index] = outcome[1:]
-
-            results: list[AnalysisResult] = []
-            seen_labels: dict[str, int] = {}
-            for position, ((spec, params), (mode, notes)) in enumerate(
-                zip(self._requests, routed)
-            ):
-                tick = time.perf_counter()
-                if mode == "superstep":
-                    values = spec.superstep(
-                        handle.graph, parallelism, snapshot_path, backend.name, params, pool
-                    )
-                    seconds = time.perf_counter() - tick
-                    engine = "superstep"
-                elif mode == "chunks":
-                    values = spec.chunk(csr, backend, params, pool)
-                    seconds = time.perf_counter() - tick
-                    engine = "chunks"
-                elif mode == "task":
-                    # executed concurrently above; seconds are worker-measured
-                    seconds, values = task_results[position]
-                    engine = "kernel"
-                elif mode == "incremental":
-                    values, seconds = incremental[position]
-                    engine = "incremental"
-                else:
-                    values = spec.kernel(csr, backend, params)
-                    seconds = time.perf_counter() - tick
-                    engine = "kernel"
-                if spec.maintainer is not None and mode != "incremental":
-                    # remember the fresh result so future plans (and
-                    # handle.refresh()) can maintain it over deltas
-                    handle._incremental_record(spec.name, params, values)
-
-                count = seen_labels.get(spec.name, 0) + 1
-                seen_labels[spec.name] = count
-                label = spec.name if count == 1 else f"{spec.name}#{count}"
-                pooled = mode in ("superstep", "chunks")
-                if oc and mode == "superstep":
-                    # out-of-core execution: workers mapped per-shard segment
-                    # files, and the worker count is the shard count
-                    result_source = "shard-mmap"
-                    result_parallelism = len(pool.partitions)
-                    result_shards = len(oc_ranges)
-                else:
-                    result_source = snapshot_source
-                    result_parallelism = parallelism if pooled else 1
-                    result_shards = 0
-                results.append(
-                    AnalysisResult(
-                        algorithm=spec.name,
-                        label=label,
-                        params={k: v for k, v in params.items()},
-                        values=values,
-                        seconds=seconds,
-                        engine=engine,
-                        provenance=Provenance(
-                            representation=handle.representation,
-                            backend=backend.name,
-                            snapshot_source=result_source,
-                            parallelism=result_parallelism,
-                            shards=result_shards,
-                            delta_edges=delta_edges,
-                        ),
-                        notes=tuple(notes) + snapshot_notes,
-                        scheduled="inline" if mode in ("inline", "incremental") else "pool",
-                    )
-                )
-
-            worker_memory: list[dict[str, int]] = []
-            if pool is not None and oc:
-                worker_memory = pool.call(
-                    "memory_stats", [None] * len(pool.partitions)
-                )
-        finally:
-            if release_pool is not None:
-                release_pool()
-            if cleanup_path is not None:
-                try:
-                    os.unlink(cleanup_path)
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
-
-        journal = getattr(handle.graph, "journal", None)
-        return AnalysisReport(
-            results=results,
-            provenance=Provenance(
-                representation=handle.representation,
-                backend=backend.name,
-                snapshot_source="shard-mmap" if (oc and worker_memory) else snapshot_source,
-                parallelism=parallelism,
-                shards=len(oc_ranges) if oc else 0,
-                delta_edges=delta_edges,
-            ),
-            total_seconds=time.perf_counter() - started,
-            snapshot_builds=handle.builds - builds_before,
-            pool_starts=pool_starts_in_thread() - pool_starts_before,
-            snapshot_writes=snapshot_store.saves_in_thread() - writes_before,
-            journal=(
-                None
-                if journal is None
-                else {
-                    "pending": len(journal.records),
-                    "total": journal.total,
-                    "compactions": journal.compactions,
-                }
-            ),
-            worker_memory=worker_memory,
-        )
+        return run_compiled(self)

@@ -33,8 +33,8 @@ plan scheduler drives instead:
   kernels' accumulation order, so floats are bit-identical, not merely
   close.
 
-The master half (routing, pool lifecycle, merges) lives in
-:mod:`repro.session.plan`.
+The master half lives in :mod:`repro.session.compiler` (routing, pool
+lifecycle) and :mod:`repro.session.plan` (chunk merges).
 """
 
 from __future__ import annotations
@@ -195,8 +195,10 @@ class SharedPoolManager:
     pipe protocol), so at most one plan may drive a pool at a time:
     :meth:`acquire` blocks until the pool is free, then hands out the cached
     executor when the *identity key* — snapshot path, snapshot content hash,
-    parallelism, worker geometry, backend — still matches, re-forking only on
-    a mismatch (e.g. the dataset was mutated, so the content hash moved).
+    parallelism, worker geometry, backend — still matches and every worker
+    process is alive, re-forking on a mismatch (e.g. the dataset was mutated,
+    so the content hash moved) or on a dead or closed pool (a worker was
+    killed, or a failed round shut the pool down; counted as ``reforks``).
     The returned ``release`` merely frees the lease; worker processes stay
     alive, keeping their mmap of the snapshot file warm for the next plan.
 
@@ -210,8 +212,9 @@ class SharedPoolManager:
         self._busy = threading.Lock()
         self._pool: ParallelSuperstepExecutor | None = None
         self._key: tuple | None = None
-        #: observability: pools forked vs leases served from the warm pool
-        self.counters = {"forks": 0, "reuses": 0, "leases": 0}
+        #: observability: pools forked vs leases served from the warm pool;
+        #: ``reforks`` counts the forks that replaced a dead or closed pool
+        self.counters = {"forks": 0, "reuses": 0, "leases": 0, "reforks": 0}
 
     def acquire(
         self,
@@ -243,8 +246,10 @@ class SharedPoolManager:
         )
         try:
             self.counters["leases"] += 1
-            if self._pool is None or self._key != key:
+            if self._pool is None or self._key != key or not self._pool.alive:
                 if self._pool is not None:
+                    if self._key == key:
+                        self.counters["reforks"] += 1
                     self._pool.close()
                     self._pool = None
                 self._pool = ParallelSuperstepExecutor(

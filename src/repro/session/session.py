@@ -388,7 +388,6 @@ class GraphSession:
         snapshot_cache: str | None = None,
         backend: str | None = None,
         parallelism: int = 1,
-        compile_plans: bool = True,
         warm_pool: bool = False,
         shards: int | None = None,
         memory_budget_mb: float | None = None,
@@ -428,7 +427,6 @@ class GraphSession:
         # with a UsageError message, not at the first kernel call
         self._backend = get_backend(backend)
         self._parallelism = parallelism
-        self._compile_plans = compile_plans
         self._handles: dict[Any, GraphHandle] = {}
         self._wrapped: dict[tuple[int, str | None], GraphHandle] = {}
         # guards the handle memos against concurrent service request threads
@@ -463,13 +461,6 @@ class GraphSession:
     @property
     def parallelism(self) -> int:
         return self._parallelism
-
-    @property
-    def compile_plans(self) -> bool:
-        """Whether plans lower through the optimizing compiler by default
-        (:mod:`repro.session.compiler`); ``plan.run(compiled=...)`` overrides
-        per run."""
-        return self._compile_plans
 
     @property
     def pool_manager(self):

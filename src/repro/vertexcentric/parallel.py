@@ -256,6 +256,12 @@ class ParallelSuperstepExecutor:
         _THREAD_COUNTERS.started = getattr(_THREAD_COUNTERS, "started", 0) + 1
         return self
 
+    @property
+    def alive(self) -> bool:
+        """Whether the pool is started and every worker process still runs
+        (a worker killed from outside leaves a dead pipe behind)."""
+        return self._started and all(proc.is_alive() for proc in self._procs)
+
     def __enter__(self) -> "ParallelSuperstepExecutor":
         return self.start()
 

@@ -1,12 +1,16 @@
-"""Plan-compiler tests: CSE, shared sweeps, provenance, and compiled-vs-naive
-bit-identity.
+"""Plan-compiler tests: routing, CSE, shared sweeps and provenance.
 
 The compiler's contract (:mod:`repro.session.compiler`) is that lowering a
 plan into a deduplicated node DAG changes *scheduling*, never *values*:
 
-* the full compiled-vs-uncompiled matrix — every registry algorithm on both
-  kernel backends at parallelism 1 / 2 / 4 — asserts exact equality, floats
-  included (``==``, no tolerance);
+* routing is pinned by a literal table (``tests/data/plan_routing.json``):
+  for the full registry plan on a symmetric and a directed C-DUP graph at
+  parallelism 2 and 4, and out-of-core over 3 shards, every label's engine,
+  ``scheduled`` placement, provenance parallelism and notes, plus the
+  report's pool starts and snapshot writes, on both kernel backends.
+  Values are pinned elsewhere against the serial kernels: parallelism N ==
+  parallelism 1 in ``test_plan_scheduling``, plan == free function in
+  ``test_session``;
 * CSE is regression-tested at the node level through the compiler's
   instrumentation counters: a ``closeness + diameter + betweenness`` batch
   performs the BFS/Brandes sweep **once** (``sweep_traversals`` moves by
@@ -19,8 +23,13 @@ plan into a deduplicated node DAG changes *scheduling*, never *values*:
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.algorithms.centrality import betweenness_kernel, closeness_kernel
+from repro.algorithms.shortest_paths import diameter_kernel
 from repro.exceptions import RepresentationError, UsageError
 from repro.graph import snapshot_store
 from repro.graph.backend import get_backend, numpy_available
@@ -39,6 +48,20 @@ from tests.conftest import build_parity_family, build_symmetric_condensed
 from tests.test_plan_scheduling import ALL_ALGORITHM_REQUESTS
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+#: case -> expected report routing, recorded while the per-request executor
+#: still existed (it routed the parallelism-2 and -4 cases identically)
+ROUTING_TABLE = json.loads(
+    (Path(__file__).parent / "data" / "plan_routing.json").read_text()
+)
+#: case -> (parity-family kind, session keyword arguments)
+ROUTING_CASES = {
+    "symmetric-p2": ("symmetric", {"parallelism": 2}),
+    "symmetric-p4": ("symmetric", {"parallelism": 4}),
+    "directed-p2": ("directed", {"parallelism": 2}),
+    "directed-p4": ("directed", {"parallelism": 4}),
+    "symmetric-shards3": ("symmetric", {"shards": 3}),
+}
 
 
 @pytest.fixture(scope="module")
@@ -71,35 +94,36 @@ def _counters():
 
 
 # --------------------------------------------------------------------------- #
-# bit-identity: compiled == uncompiled, every algorithm x backend x parallelism
+# routing: engine, placement and notes per label, pinned as data
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("parallelism", [1, 2, 4])
-def test_compiled_matches_uncompiled_exactly(family, backend, parallelism):
-    """The full registry (floats included) at the same parallelism: values,
-    labels, engines, notes and scheduling are all identical — the compiler
-    only deduplicates and shares work."""
-    graph = family["C-DUP"]
+@pytest.mark.parametrize("case", sorted(ROUTING_CASES))
+def test_full_plan_routing_matches_the_recorded_table(case, backend):
+    """Superstep / chunks / task / inline choices, their fallback notes and
+    the one-pool-one-file accounting for every registry algorithm."""
+    kind, session_kwargs = ROUTING_CASES[case]
+    graph = build_parity_family(kind, seed=47, num_real=36, num_virtual=12, max_size=6)[
+        "C-DUP"
+    ]
     source = sorted(graph.get_vertices(), key=repr)[0]
-    compiled = _full_plan(_session(parallelism, backend).wrap(graph), source).run(
-        compiled=True
-    )
-    naive = _full_plan(_session(parallelism, backend).wrap(graph), source).run(
-        compiled=False
-    )
-    assert compiled.labels() == naive.labels()
-    for got, want in zip(compiled, naive):
-        assert got.values == want.values, (
-            f"{got.label} x{parallelism} on {backend} diverged from the "
-            "uncompiled plan"
-        )
-        assert got.engine == want.engine, got.label
-        assert got.scheduled == want.scheduled, got.label
-        assert got.notes == want.notes, got.label
-        assert got.provenance.parallelism == want.provenance.parallelism, got.label
-    # uncompiled runs carry no node provenance; compiled runs always do
-    assert all(result.nodes == () for result in naive)
-    assert all(result.nodes for result in compiled)
+    with GraphSession(Database("routing"), backend=backend, **session_kwargs) as session:
+        report = _full_plan(session.wrap(graph), source).run()
+    expected = ROUTING_TABLE[case]
+    assert report.pool_starts == expected["pool_starts"]
+    assert report.snapshot_writes == expected["snapshot_writes"]
+    got = {
+        result.label: {
+            "engine": result.engine,
+            "scheduled": result.scheduled,
+            "parallelism": result.provenance.parallelism,
+            "notes": list(result.notes),
+        }
+        for result in report
+    }
+    assert list(got) == list(expected["results"])
+    for label, routing in expected["results"].items():
+        assert got[label] == routing, label
+    assert all(result.nodes for result in report)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -108,8 +132,8 @@ def test_compiled_parallel_matches_compiled_serial(family, backend):
     partition-order merge is the serial sweep's order)."""
     graph = family["EXP"]
     source = sorted(graph.get_vertices(), key=repr)[0]
-    serial = _full_plan(_session(1, backend).wrap(graph), source).run(compiled=True)
-    parallel = _full_plan(_session(4, backend).wrap(graph), source).run(compiled=True)
+    serial = _full_plan(_session(1, backend).wrap(graph), source).run()
+    parallel = _full_plan(_session(4, backend).wrap(graph), source).run()
     for got, want in zip(parallel, serial):
         if got.engine == "superstep" and got.notes:
             continue  # default-parameter pagerank: documented approximation
@@ -130,7 +154,7 @@ def test_sweep_is_shared_across_closeness_diameter_betweenness(family, backend):
         .closeness()
         .diameter(samples=5, seed=1)
         .betweenness(sample_size=7, seed=2)
-        .run(compiled=True)
+        .run()
     )
     plans, computed, _, swept = (now - then for now, then in zip(_counters(), before))
     assert plans == 1
@@ -164,7 +188,7 @@ def test_duplicate_requests_compute_once_and_report_reused(family, backend):
         .pagerank(max_iterations=9, tolerance=0.0)
         .pagerank(max_iterations=9, tolerance=0.0)
         .pagerank(max_iterations=10, tolerance=0.0)
-        .run(compiled=True)
+        .run()
     )
     _, computed, reused, _ = (now - then for now, then in zip(_counters(), before))
     # two distinct pagerank nodes executed; the duplicate resolved to the first
@@ -189,13 +213,13 @@ def test_bfs_joins_the_sweep_only_when_it_covers_every_source(family):
         .analyze()
         .closeness()
         .bfs(source=source)
-        .run(compiled=True)
+        .run()
     )
     assert any(node.kind == "sweep" for node in report["bfs"].nodes)
     assert report["bfs"].nodes[-1].status == "computed"
     # without a covering demand, bfs keeps its own kernel
     lone = (
-        _session(1, "python").wrap(graph).analyze().bfs(source=source).run(compiled=True)
+        _session(1, "python").wrap(graph).analyze().bfs(source=source).run()
     )
     assert not any(node.kind == "sweep" for node in lone["bfs"].nodes)
 
@@ -211,7 +235,7 @@ def test_full_source_betweenness_streams_through_the_sweep_serially(family):
         .analyze()
         .closeness()
         .betweenness()
-        .run(compiled=True)
+        .run()
     )
     assert any(node.kind == "sweep" for node in serial["betweenness"].nodes)
     parallel = (
@@ -220,7 +244,7 @@ def test_full_source_betweenness_streams_through_the_sweep_serially(family):
         .analyze()
         .closeness()
         .betweenness()
-        .run(compiled=True)
+        .run()
     )
     assert not any(node.kind == "sweep" for node in parallel["betweenness"].nodes)
     assert parallel["betweenness"].engine == "kernel"
@@ -233,7 +257,7 @@ def test_derived_view_nodes_are_shared_and_attributed_once(family, backend):
     graph = family["C-DUP"]
     handle = _session(1, backend).wrap(graph)
     report = (
-        handle.analyze().kcore().triangles().clustering().run(compiled=True)
+        handle.analyze().kcore().triangles().clustering().run()
     )
     und = {
         result.label: [node for node in result.nodes if node.key == "und-csr"]
@@ -253,7 +277,7 @@ def test_derived_view_nodes_are_shared_and_attributed_once(family, backend):
 def test_compiled_plan_keeps_one_pool_and_one_snapshot_file(family):
     graph = family["C-DUP"]
     source = sorted(graph.get_vertices(), key=repr)[0]
-    report = _full_plan(_session(4, "python").wrap(graph), source).run(compiled=True)
+    report = _full_plan(_session(4, "python").wrap(graph), source).run()
     assert report.pool_starts == 1
     assert report.snapshot_writes <= 1
 
@@ -269,7 +293,7 @@ def test_compiled_serial_plan_never_forks_or_writes(family):
         .closeness()
         .diameter()
         .betweenness(sample_size=5)
-        .run(compiled=True)
+        .run()
     )
     assert report.pool_starts == 0
     assert report.snapshot_writes == 0
@@ -277,25 +301,13 @@ def test_compiled_serial_plan_never_forks_or_writes(family):
     assert snapshot_store.SAVE_COUNT == writes_before
 
 
-def test_session_compile_plans_flag_and_per_run_override(family):
-    graph = family["C-DUP"]
-    session = _session(1, "python", compile_plans=False)
-    assert session.compile_plans is False
-    handle = session.wrap(graph)
-    plain = handle.analyze().degree().run()
-    assert all(result.nodes == () for result in plain)
-    forced = handle.analyze().degree().run(compiled=True)
-    assert all(result.nodes for result in forced)
-    assert forced["degree"].values == plain["degree"].values
-
-
 def test_compiled_caller_mistakes_keep_their_types(family):
     graph = family["C-DUP"]
     handle = _session(1, "python").wrap(graph)
     with pytest.raises(RepresentationError, match="not in the graph"):
-        handle.analyze().closeness().bfs(source="nope").run(compiled=True)
+        handle.analyze().closeness().bfs(source="nope").run()
     with pytest.raises(UsageError, match="empty"):
-        handle.analyze().run(compiled=True)
+        handle.analyze().run()
 
 
 def test_compiled_empty_and_tiny_graphs_fall_back_to_inline_kernels():
@@ -305,14 +317,14 @@ def test_compiled_empty_and_tiny_graphs_fall_back_to_inline_kernels():
     tiny.add_real_node(0)
     tiny.add_real_node(1)
     handle = _session(1, "python").wrap(CDupGraph(tiny))
-    report = (
-        handle.analyze().closeness().betweenness().diameter().run(compiled=True)
+    report = handle.analyze().closeness().betweenness().diameter().run()
+    csr = handle.snapshot()
+    backend = get_backend("python")
+    assert report["closeness"].values == csr.decode(closeness_kernel(csr, backend=backend))
+    assert report["betweenness"].values == csr.decode(
+        betweenness_kernel(csr, backend=backend)
     )
-    naive = (
-        handle.analyze().closeness().betweenness().diameter().run(compiled=False)
-    )
-    for got, want in zip(report, naive):
-        assert got.values == want.values, got.label
+    assert report["diameter"].values == diameter_kernel(csr, backend=backend)
     # n <= 2 betweenness is the kernel's early-exit, not a sweep product
     assert not any(node.kind == "sweep" for node in report["betweenness"].nodes)
 
@@ -328,7 +340,7 @@ def test_node_provenance_shape_and_summary(family):
         .analyze()
         .closeness()
         .closeness()
-        .run(compiled=True)
+        .run()
     )
     first, second = report.results
     assert [node.kind for node in first.nodes] == ["snapshot", "sweep", "algo"]
@@ -354,10 +366,10 @@ def test_snapshot_node_reports_cache_reuse():
         build_symmetric_condensed(seed=13, num_real=12, num_virtual=4, max_size=4)
     )
     handle = _session(1, "python").wrap(graph)
-    fresh = handle.analyze().degree().run(compiled=True)
+    fresh = handle.analyze().degree().run()
     assert fresh[0].nodes[0].key == "snapshot"
     assert fresh[0].nodes[0].status == "computed"
-    warm = handle.analyze().degree().run(compiled=True)
+    warm = handle.analyze().degree().run()
     assert warm[0].nodes[0].status == "reused"
     assert warm.provenance.snapshot_source == "cache-hit"
 

@@ -19,6 +19,10 @@ superstep request*.
 
 from __future__ import annotations
 
+import inspect
+import os
+import signal
+
 import pytest
 
 from repro.exceptions import UsageError
@@ -295,6 +299,95 @@ class TestWrappedStoreKeys:
 
 
 # --------------------------------------------------------------------------- #
+# warm pool health
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_warm_pool_reforks_after_a_worker_is_killed(families, tmp_path, backend):
+    """A warm pool whose worker died between plans is re-forked, not handed
+    out again: the next plan succeeds and the manager counts one refork."""
+    from repro.algorithms import connected_components, count_triangles
+
+    graph = families["symmetric"]["C-DUP"]
+    with GraphSession(
+        Database("warm"),
+        backend=backend,
+        parallelism=2,
+        snapshot_cache=str(tmp_path / "c"),
+        warm_pool=True,
+    ) as session:
+        handle = session.wrap(graph)
+        handle.analyze().components().triangles().run()
+        manager = session.pool_manager
+        victim = manager._pool._procs[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+
+        report = handle.analyze().components().triangles().run()
+        assert report["components"].engine == "superstep"
+        assert report["triangles"].engine == "chunks"
+        assert report["components"].values == connected_components(graph)
+        assert report["triangles"].values == count_triangles(graph)
+        assert manager.counters["reforks"] == 1
+        assert manager.counters["forks"] == 2
+        # the re-forked pool is warm again for the plan after
+        handle.analyze().components().run()
+        assert manager.counters["forks"] == 2
+        assert manager.counters["reforks"] == 1
+
+
+def test_warm_pool_fork_for_a_moved_snapshot_is_not_a_refork(tmp_path):
+    """A mutation moves the content hash, so the next plan forks a new pool;
+    that replaces a healthy pool, and ``reforks`` stays 0."""
+    from repro.algorithms import connected_components
+
+    graph = build_parity_family(
+        "symmetric", seed=31, num_real=40, num_virtual=14, max_size=7
+    )["EXP"]
+    vertices = sorted(graph.get_vertices(), key=repr)
+    src, dst = next(
+        (a, b) for a in vertices for b in vertices
+        if a != b and not graph.exists_edge(a, b)
+    )
+    with GraphSession(
+        Database("warm"),
+        backend="python",
+        parallelism=2,
+        snapshot_cache=str(tmp_path / "c"),
+        warm_pool=True,
+    ) as session:
+        handle = session.wrap(graph)
+        handle.analyze().components().run()
+        manager = session.pool_manager
+        graph.add_edge(src, dst)
+        graph.add_edge(dst, src)
+        report = handle.analyze().components().run()
+        assert report["components"].values == connected_components(graph)
+        assert manager.counters["forks"] == 2
+        assert manager.counters["reforks"] == 0
+
+
+def test_executor_alive_tracks_start_close_and_dead_workers(families, tmp_path):
+    from repro.session.scheduler import PlanWorkerFactory
+
+    csr = families["symmetric"]["EXP"].snapshot()
+    path = tmp_path / "alive.csr"
+    csr.save(path)
+    pool = ParallelSuperstepExecutor(2, csr.n, PlanWorkerFactory(str(path), "python"))
+    assert not pool.alive
+    pool.start()
+    try:
+        assert pool.alive
+        victim = pool._procs[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        assert not pool.alive
+    finally:
+        pool.close()
+    assert not pool.alive
+
+
+# --------------------------------------------------------------------------- #
 # executor task rounds
 # --------------------------------------------------------------------------- #
 class TestMapTasks:
@@ -325,6 +418,17 @@ class TestMapTasks:
         graph = families["symmetric"]["EXP"]
         with pytest.raises(UsageError, match="plan is empty"):
             _session(2, "python").wrap(graph).analyze().run()
+
+    def test_run_takes_no_arguments(self, families):
+        """One executor: there is no per-run choice of path left to make."""
+        from repro.algorithms import degrees
+
+        graph = families["symmetric"]["EXP"]
+        plan = _session(1, "python").wrap(graph).analyze().degree()
+        assert list(inspect.signature(plan.run).parameters) == []
+        with pytest.raises(TypeError):
+            plan.run(False)
+        assert plan.run()["degree"].values == degrees(graph)
 
     def test_caller_mistakes_keep_their_type_on_pool_dispatch(self, families):
         """A bad BFS source discovered inside a worker must surface as the

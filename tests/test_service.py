@@ -441,6 +441,8 @@ class TestServiceIntrospection:
         )
         try:
             service = GraphService(session, session.graph(COAUTHOR_QUERY))
-            assert service.stats()["pool"] == {"forks": 0, "reuses": 0, "leases": 0}
+            assert service.stats()["pool"] == {
+                "forks": 0, "reuses": 0, "leases": 0, "reforks": 0
+            }
         finally:
             session.close()

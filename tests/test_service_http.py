@@ -12,6 +12,7 @@ subprocess (the same path ``make serve-smoke`` drives).
 from __future__ import annotations
 
 import json
+import logging
 import re
 import subprocess
 import sys
@@ -172,6 +173,32 @@ class TestErrorContract:
         finally:
             for _ in range(held):
                 service._leave()
+
+    def test_server_bug_is_500_and_logged_with_traceback(self, served, monkeypatch, caplog):
+        base, service, _ = served
+
+        def broken(body):
+            raise RuntimeError("boom in add_edge")
+
+        monkeypatch.setattr(service, "add_edge", broken)
+        with caplog.at_level(logging.ERROR, logger="repro.service"):
+            status, body = http_post(base, "/edges", {"src": 1, "dst": 2})
+        assert status == 500
+        assert body == {"error": "internal error: boom in add_edge"}
+        records = [record for record in caplog.records if record.name == "repro.service"]
+        assert len(records) == 1
+        assert "POST /edges" in records[0].getMessage()
+        assert records[0].exc_info is not None
+        assert "Traceback" in caplog.text and "RuntimeError: boom in add_edge" in caplog.text
+
+    def test_answered_requests_log_nothing(self, served, caplog):
+        """Successes and caller mistakes stay silent; only 500s are logged."""
+        base, _, _ = served
+        with caplog.at_level(logging.DEBUG, logger="repro.service"):
+            assert http_get(base, "/health")[0] == 200
+            assert http_post(base, "/analyze", {"algorithm": "nope"})[0] == 400
+            assert http_post(base, "/no-such-route", {})[0] == 404
+        assert [r for r in caplog.records if r.name.startswith("repro.service")] == []
 
 
 class TestConcurrentClients:

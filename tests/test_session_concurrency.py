@@ -185,10 +185,7 @@ class TestStoreFetchOutcomes:
 # --------------------------------------------------------------------------- #
 @pytest.mark.slow
 class TestConcurrentPlanCounters:
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_each_plan_counts_only_its_own_forks_and_writes(
-        self, tmp_path, monkeypatch, compiled
-    ):
+    def test_each_plan_counts_only_its_own_forks_and_writes(self, tmp_path, monkeypatch):
         """Two plans on two threads, both provably in flight before either
         forks (barrier inside ``start``): each report must still say
         ``pool_starts == 1`` and ``snapshot_writes == 1``.  With the old
@@ -219,7 +216,7 @@ class TestConcurrentPlanCounters:
                 )
                 handle = session.graph(COAUTHOR_QUERY)
                 plan = handle.analyze().pagerank().components()
-                reports[index] = plan.run(compiled=compiled)
+                reports[index] = plan.run()
             except Exception as exc:  # pragma: no cover - diagnostic path
                 errors.append(exc)
 
