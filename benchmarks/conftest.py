@@ -10,6 +10,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -75,18 +76,33 @@ def _clean_results_dir():
     yield
 
 
+def _collect_garbage() -> None:
+    gc.collect()
+
+
 def once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark timing.
 
     The heavyweight extraction / dedup operations are far too slow for the
     default calibrated rounds; one timed round matches how the paper reports
     them (single wall-clock measurements).
+
+    A full garbage collection runs just before the timed call, untimed.  Late
+    in a suite run the interpreter holds a large heap of long-lived objects,
+    and a generation-2 collection that happens to fall inside a
+    millisecond-scale call costs it ~0.1-0.16 s (seen on Figure 12's
+    BITMAP-1 rows).  Collecting first resets the collector's counters, so a
+    full collection lands inside the call only when the call's own
+    allocations trigger one.
     """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    return benchmark.pedantic(
+        fn, args=args, kwargs=kwargs, setup=_collect_garbage, rounds=1, iterations=1
+    )
 
 
 def timed_once(benchmark, fn, *args, **kwargs):
-    """Like :func:`once`, additionally returning the measured seconds.
+    """Like :func:`once` (a full collection first, untimed), additionally
+    returning the measured seconds.
 
     The timing is taken with a plain wall-clock timer around the single call,
     independent of pytest-benchmark's internal bookkeeping, so the benchmark
@@ -100,7 +116,7 @@ def timed_once(benchmark, fn, *args, **kwargs):
         with timer:
             return fn(*args, **kwargs)
 
-    result = benchmark.pedantic(wrapped, rounds=1, iterations=1)
+    result = benchmark.pedantic(wrapped, setup=_collect_garbage, rounds=1, iterations=1)
     return result, timer.elapsed
 
 

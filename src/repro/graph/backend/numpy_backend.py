@@ -19,10 +19,22 @@ Kernel strategies (see ``tests/test_backend_parity.py`` for the contract):
   FIFO kernels exactly, not just up to relabeling.  Components are peeled
   with vectorised BFS sweeps from ascending start vertices, which reproduces
   the union-find labeling (0-based, ordered by first vertex).
-* **Triangles / similarity / k-core** — a symmetrised, deduplicated,
-  *sorted* adjacency CSR (built once per snapshot and cached on it) makes
-  neighbor intersection a ``searchsorted`` probe and peeling a masked
-  degree-decrement loop.
+* **Similarity / k-core** — a symmetrised, deduplicated, *sorted* adjacency
+  CSR (built once per snapshot and cached on it) makes neighbor intersection
+  a ``searchsorted`` probe and peeling a masked degree-decrement loop.
+* **Triangles** — an *oriented* CSR holding only the ``v > u`` half of each
+  symmetrised row (also cached on the snapshot).  For each ``u`` the oriented
+  rows of its higher neighbours are gathered and tested against one reusable
+  boolean marker array holding ``u``'s own oriented row, so every triangle
+  ``u < v < w`` is found exactly once, from its smallest vertex.  Memory is
+  bounded by the largest single gather, not by the number of triangles:
+  the total is a running count, and per-vertex counts are added in place
+  into an ``n``-sized array only when a caller asks for them.
+
+Deduplication goes through :func:`_unique` (sort, then mask equal
+neighbours): numpy 2.x answers a plain ``np.unique`` through a hash table
+that is many times slower at these sizes.  Calls that need
+``return_index``/``return_inverse`` already take numpy's sort path.
 
 Integer kernels are exact; float kernels re-associate sums and may differ
 from the reference in low-order bits (≤ 1e-9 L-infinity, documented in
@@ -54,6 +66,17 @@ def _views(csr: "CSRGraph") -> tuple[np.ndarray, np.ndarray]:
         targets = np.frombuffer(csr.targets, dtype=np.int64)
         views = cache["np_views"] = (offsets, targets)
     return views
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct elements of a 1-d array; equal to ``np.unique``."""
+    ordered = np.sort(values)
+    if ordered.size < 2:
+        return ordered
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def _out_degrees(csr: "CSRGraph") -> np.ndarray:
@@ -95,7 +118,7 @@ def _undirected_csr(csr: "CSRGraph") -> tuple[np.ndarray, np.ndarray]:
         u = np.concatenate([sources[keep], targets[keep]])
         v = np.concatenate([targets[keep], sources[keep]])
         if u.size:
-            codes = np.unique(u * np.int64(n) + v)
+            codes = _unique(u * np.int64(n) + v)
             uu, vv = np.divmod(codes, np.int64(n))
         else:
             uu = vv = np.empty(0, dtype=np.int64)
@@ -110,6 +133,24 @@ def _undirected_csr(csr: "CSRGraph") -> tuple[np.ndarray, np.ndarray]:
         neutral_targets.frombytes(np.ascontiguousarray(vv).tobytes())
         cache["und_csr"] = (neutral_offsets, neutral_targets)
     return und
+
+
+def _upper_csr(csr: "CSRGraph") -> tuple[np.ndarray, np.ndarray]:
+    """The ``v > u`` half of each symmetrised row, still sorted (cached).
+
+    Every undirected edge appears once, in the row of its smaller endpoint:
+    the id-oriented form the triangle kernel walks.
+    """
+    cache = csr._backend_cache
+    upper = cache.get("np_upper")
+    if upper is None:
+        offsets, targets = _undirected_csr(csr)
+        sources = np.repeat(np.arange(csr.n, dtype=np.int64), np.diff(offsets))
+        keep = targets > sources
+        upper_offsets = np.zeros(csr.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources[keep], minlength=csr.n), out=upper_offsets[1:])
+        upper = cache["np_upper"] = (upper_offsets, targets[keep])
+    return upper
 
 
 def _gather_targets(
@@ -191,7 +232,7 @@ class NumpyBackend(KernelBackend):
                 break
             depth += 1
             candidates, _ = _gather(offsets, targets, frontier)
-            frontier = np.unique(candidates[distances[candidates] < 0])
+            frontier = _unique(candidates[distances[candidates] < 0])
             distances[frontier] = depth
         return distances
 
@@ -377,7 +418,7 @@ class NumpyBackend(KernelBackend):
                 # dedup proportional to the frontier, not to n: a
                 # high-diameter component must not pay a full-array scan
                 # per level
-                frontier = np.unique(fresh)
+                frontier = _unique(fresh)
             sweep += 1
         # canonical relabel: 0-based in order of each component's first
         # vertex — exactly the reference union-find labeling
@@ -416,48 +457,50 @@ class NumpyBackend(KernelBackend):
     # ------------------------------------------------------------------ #
     # triangles / clustering
     # ------------------------------------------------------------------ #
-    def _triangle_counts(
-        self, csr: "CSRGraph", lo: int = 0, hi: int | None = None
-    ) -> tuple[int, np.ndarray]:
-        """``(total, per-vertex counts)`` over the u < v < w orientation.
+    def _triangles(
+        self, csr: "CSRGraph", lo: int = 0, hi: int | None = None,
+        counts: np.ndarray | None = None,
+    ) -> int:
+        """Number of triangles ``u < v < w`` whose smallest vertex ``u`` lies
+        in ``[lo, hi)``.
 
-        With a ``[lo, hi)`` range only triangles whose smallest vertex lies
-        in the range are counted (the per-vertex counts then cover only those
-        triangles — whole-graph callers use the default full range).
+        With ``counts`` (an ``n``-sized int64 array) each found triangle also
+        adds one to the count of each of its three vertices, in place.
         """
         n = csr.n
         if hi is None:
             hi = n
-        offsets, targets = _undirected_csr(csr)
-        counts = np.zeros(n, dtype=np.int64)
-        hits: list[np.ndarray] = []
+        offsets, targets = _upper_csr(csr)
+        # only a vertex with two higher neighbours can be a smallest vertex
+        starts = np.flatnonzero(np.diff(offsets[lo : hi + 1]) >= 2) + lo
+        marker = np.zeros(n, dtype=bool)
         total = 0
-        for u in range(lo, hi):
-            row = _sorted_row(offsets, targets, u)
-            higher = row[np.searchsorted(row, u + 1) :]  # rows are sorted
-            if higher.size < 2:
-                continue
-            candidates, sources = _gather(offsets, targets, higher)
-            mask = candidates > sources
-            candidates, sources = candidates[mask], sources[mask]
-            position = np.searchsorted(higher, candidates)
-            position[position == higher.size] = 0  # any in-range slot; masked below
-            found = higher[position] == candidates
-            wedges = int(np.count_nonzero(found))
-            if wedges:
-                total += wedges
-                counts[u] += wedges
-                hits.append(sources[found])
-                hits.append(candidates[found])
-        if hits:
-            counts += np.bincount(np.concatenate(hits), minlength=n)
-        return total, counts
+        for u in starts.tolist():
+            higher = targets[offsets[u] : offsets[u + 1]]
+            marker[higher] = True
+            if counts is None:
+                found = np.count_nonzero(marker[_gather_targets(offsets, targets, higher)])
+            else:
+                candidates, sources = _gather(offsets, targets, higher)
+                hit = marker[candidates]
+                found = np.count_nonzero(hit)
+                counts[u] += found
+                np.add.at(counts, sources[hit], 1)
+                np.add.at(counts, candidates[hit], 1)
+            marker[higher] = False
+            total += int(found)
+        return total
 
     def count_triangles(self, csr: "CSRGraph", lo: int = 0, hi: int | None = None) -> int:
-        return self._triangle_counts(csr, lo, hi)[0]
+        return self._triangles(csr, lo, hi)
+
+    def _triangles_per_vertex(self, csr: "CSRGraph") -> np.ndarray:
+        counts = np.zeros(csr.n, dtype=np.int64)
+        self._triangles(csr, counts=counts)
+        return counts
 
     def triangles_per_vertex(self, csr: "CSRGraph") -> list[int]:
-        return self._triangle_counts(csr)[1].tolist()
+        return self._triangles_per_vertex(csr).tolist()
 
     def _links_among_neighbors(self, csr: "CSRGraph", index: int) -> tuple[int, int]:
         """``(degree, edge count among the neighborhood)`` of one vertex."""
@@ -483,7 +526,7 @@ class NumpyBackend(KernelBackend):
         if n == 0:
             return 0.0
         degrees = np.diff(_undirected_csr(csr)[0])
-        triangles = self._triangle_counts(csr)[1]
+        triangles = self._triangles_per_vertex(csr)
         # identical per-vertex arithmetic to the reference; only the final
         # mean re-associates the sum
         total = 0.0
@@ -559,7 +602,7 @@ class NumpyBackend(KernelBackend):
             candidates, srcs = _gather(offsets, targets, levels[-1])
             if candidates.size == 0:
                 break
-            frontier = np.unique(candidates[distance[candidates] < 0])
+            frontier = _unique(candidates[distance[candidates] < 0])
             distance[frontier] = depth + 1
             forward = distance[candidates] == depth + 1
             sigma += np.bincount(
@@ -601,7 +644,7 @@ class NumpyBackend(KernelBackend):
     def _neighborhood_array(self, csr: "CSRGraph", index: int) -> np.ndarray:
         """Sorted out-neighborhood of a dense index, excluding itself."""
         offsets, targets = _views(csr)
-        row = np.unique(targets[offsets[index] : offsets[index + 1]])
+        row = _unique(targets[offsets[index] : offsets[index + 1]])
         return row[row != index]
 
     def common_neighbors(self, csr: "CSRGraph", iu: int, iv: int) -> set[int]:
